@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +87,8 @@ type Config struct {
 	BatchMax int
 	// BatchLinger, if positive, is how long the writer waits after waking
 	// for more calls to join the outgoing write — trading per-op latency
-	// for batch width. Zero coalesces only what is already queued.
+	// for batch width. Zero coalesces what is queued once the writer has
+	// yielded to the callers already runnable; see writeLoop.
 	BatchLinger time.Duration
 	// Flight, if non-nil, turns on end-to-end tracing: every request frame
 	// carries a fresh trace ID and the client's wall-clock send time
@@ -254,14 +256,16 @@ func (p *Pending) Wait() (Result, error) {
 // traceIDs issues process-unique trace identifiers; 0 means untraced.
 var traceIDs atomic.Uint64
 
-// submit enqueues one request on a pooled connection.
-func (cl *Client) submit(op wire.Kind, arg int64, data []byte) (*Pending, error) {
+// submit enqueues one request on a pooled connection. The Pending is
+// returned by value so the sync path keeps it on its stack; only the Async
+// methods move it to the heap.
+func (cl *Client) submit(op wire.Kind, arg int64, data []byte) (Pending, error) {
 	c, err := cl.getConn()
 	if err != nil {
-		return nil, err
+		return Pending{}, err
 	}
 	if len(data) > wire.MaxData {
-		return nil, fmt.Errorf("%w: %d byte payload", wire.ErrFrameTooBig, len(data))
+		return Pending{}, fmt.Errorf("%w: %d byte payload", wire.ErrFrameTooBig, len(data))
 	}
 	// The call holds its operation unencoded: the writer encodes at flush
 	// time, where it can see which neighbors to coalesce with. The payload
@@ -282,9 +286,19 @@ func (cl *Client) submit(op wire.Kind, arg int64, data []byte) (*Pending, error)
 	// the latency a caller actually experiences.
 	fr.Record(flight.KClientSend, ca.trace, ca.sendNano)
 	if err := c.enqueue(ca); err != nil {
+		return Pending{}, err
+	}
+	return Pending{call: ca, timeout: cl.cfg.OpTimeout, trace: ca.trace}, nil
+}
+
+// submitAsync is submit for the Async methods, which hand the caller a
+// Pending to Wait on later.
+func (cl *Client) submitAsync(op wire.Kind, arg int64, data []byte) (*Pending, error) {
+	p, err := cl.submit(op, arg, data)
+	if err != nil {
 		return nil, err
 	}
-	return &Pending{call: ca, timeout: cl.cfg.OpTimeout, trace: ca.trace}, nil
+	return &p, nil
 }
 
 // retryable classifies errors the sync wrappers may re-attempt. Connection
@@ -365,12 +379,12 @@ func (cl *Client) Ping() error {
 // InsertAsync submits an Insert without waiting; call Pending.Wait to
 // collect the ack. Async calls are not retried.
 func (cl *Client) InsertAsync(priority int64, value []byte) (*Pending, error) {
-	return cl.submit(wire.OpInsert, priority, value)
+	return cl.submitAsync(wire.OpInsert, priority, value)
 }
 
 // DeleteMinAsync submits a DeleteMin without waiting.
 func (cl *Client) DeleteMinAsync() (*Pending, error) {
-	return cl.submit(wire.OpDeleteMin, 0, nil)
+	return cl.submitAsync(wire.OpDeleteMin, 0, nil)
 }
 
 // call is one request/response pair in flight. Calls are pooled: the
@@ -388,6 +402,7 @@ type call struct {
 	err      error
 	claimed  atomic.Bool // the completion claim; see complete
 	done     chan struct{}
+	next     *call // the following call of the same group; see group
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -400,6 +415,7 @@ func getCall() *call {
 	ca.trace, ca.sendNano = 0, 0
 	ca.res, ca.err = Result{}, nil
 	ca.claimed.Store(false)
+	ca.next = nil
 	return ca
 }
 
@@ -429,11 +445,35 @@ func (c *call) complete(res Result, err error) {
 }
 
 // group is the inflight FIFO unit: the calls answered by one response
-// frame. A single-op frame's group holds one call; an OpBatch frame's
-// group holds every call packed into it, in entry order.
+// frame, linked through call.next in entry order. A single-op frame's group
+// is one call; an OpBatch frame's group is every call packed into it.
+// Linking through the calls themselves keeps the writer allocation-free.
+//
+// Only the goroutine holding a group completes its calls, and it reads
+// each link before completing that call: a completed call may be recycled
+// and relinked into a new group at once.
 type group struct {
-	calls []*call
+	head  *call
+	n     int
 	batch bool
+}
+
+// linkGroup links calls into one group.
+func linkGroup(calls []*call, batch bool) group {
+	for i, ca := range calls[:len(calls)-1] {
+		ca.next = calls[i+1]
+	}
+	calls[len(calls)-1].next = nil
+	return group{head: calls[0], n: len(calls), batch: batch}
+}
+
+// completeAll completes every call of the group with one outcome.
+func (g group) completeAll(res Result, err error) {
+	for ca := g.head; ca != nil; {
+		next := ca.next
+		ca.complete(res, err)
+		ca = next
+	}
 }
 
 // conn is one pooled connection: a writer goroutine batching wq into
@@ -449,6 +489,10 @@ type conn struct {
 	batchMax int
 	linger   time.Duration
 	fr       *flight.Recorder
+
+	// entries is the reader's batch-decode scratch, reused for every
+	// StatusBatch frame; only readLoop touches it.
+	entries []wire.BatchEntry
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -537,6 +581,14 @@ func (c *conn) enqueue(ca *call) error {
 // are additionally coalesced into OpBatch frames. Each group enters the
 // inflight FIFO before its bytes are written, preserving request/response
 // order.
+//
+// On waking with a single call the writer yields once before gathering.
+// A caller's send on wq readies the parked writer into that P's runnext
+// slot, so the writer runs the moment the caller parks, ahead of every
+// caller the reader has just completed: those are still in the run queue,
+// about to submit their next operation. Without the yield each wakeup finds
+// one call and pays one frame and one write(2) for it; after the yield the
+// woken callers have enqueued, and one wakeup carries all of their calls.
 func (c *conn) writeLoop() {
 	var out []byte
 	var entries []wire.BatchEntry
@@ -549,6 +601,9 @@ func (c *conn) writeLoop() {
 			return
 		case first := <-c.wq:
 			batch = append(batch[:0], first)
+			if len(c.wq) == 0 {
+				runtime.Gosched()
+			}
 			if c.linger > 0 {
 				if lingerTimer == nil {
 					lingerTimer = time.NewTimer(c.linger)
@@ -612,31 +667,27 @@ func (c *conn) writeLoop() {
 						entries = append(entries, wire.BatchEntry{Kind: ca.op, Arg: ca.arg, Data: ca.data})
 					}
 					out, err = wire.AppendBatch(out, entries, 0, 0)
-					g = group{calls: append([]*call(nil), batch[i:j]...), batch: true}
+					g = linkGroup(batch[i:j], true)
 				} else {
 					ca := batch[i]
 					out, err = wire.Append(out, wire.Frame{
 						Kind: ca.op, Arg: ca.arg, Data: ca.data,
 						Trace: ca.trace, SendNano: ca.sendNano,
 					})
-					g = group{calls: append([]*call(nil), ca)}
 					j = i + 1
+					g = linkGroup(batch[i:j], false)
 				}
 				if err != nil {
 					// Encoding is validated at submit; an error here is a bug,
 					// but failing the calls beats wedging the pipeline.
-					for _, ca := range g.calls {
-						ca.complete(Result{}, err)
-					}
+					g.completeAll(Result{}, err)
 					i = j
 					continue
 				}
 				select {
 				case c.inflight <- g:
 				case <-c.ctx.Done():
-					for _, ca := range g.calls {
-						ca.complete(Result{}, c.failErr())
-					}
+					g.completeAll(Result{}, c.failErr())
 					aborted = true
 				}
 				i = j
@@ -688,12 +739,13 @@ func (c *conn) readLoop() {
 		if g.batch {
 			if err := c.completeBatch(g, f); err != nil {
 				c.fail(err)
+				g.completeAll(Result{}, c.failErr())
 				c.drainPending()
 				return
 			}
 			continue
 		}
-		ca := g.calls[0]
+		ca := g.head
 		if ca.trace != 0 {
 			c.fr.Record(flight.KClientRecv, ca.trace, 0)
 		}
@@ -709,21 +761,26 @@ func (c *conn) readLoop() {
 func (c *conn) completeBatch(g group, f wire.Frame) error {
 	switch f.Kind {
 	case wire.StatusBatch:
-		entries, err := wire.DecodeBatch(f)
+		entries, err := wire.DecodeBatchInto(c.entries[:0], f)
+		c.entries = entries
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrConn, err)
 		}
-		if len(entries) != len(g.calls) {
-			return fmt.Errorf("%w: batch answered %d of %d ops", ErrConn, len(entries), len(g.calls))
+		if len(entries) != g.n {
+			return fmt.Errorf("%w: batch answered %d of %d ops", ErrConn, len(entries), g.n)
 		}
-		for i, ca := range g.calls {
-			e := entries[i]
+		ca := g.head
+		for _, e := range entries {
+			next := ca.next // read before complete; see group
 			ca.complete(decodeResponse(ca.op, wire.Frame{Kind: e.Kind, Arg: e.Arg, Data: e.Data}))
+			ca = next
 		}
 		return nil
 	case wire.StatusBusy, wire.StatusShutdown, wire.StatusErr:
-		for _, ca := range g.calls {
+		for ca := g.head; ca != nil; {
+			next := ca.next
 			ca.complete(decodeResponse(ca.op, f))
+			ca = next
 		}
 		return nil
 	}
@@ -782,9 +839,7 @@ func (c *conn) drainPending() {
 		case ca := <-c.wq:
 			ca.complete(Result{}, err)
 		case g := <-c.inflight:
-			for _, ca := range g.calls {
-				ca.complete(Result{}, err)
-			}
+			g.completeAll(Result{}, err)
 		default:
 			return
 		}

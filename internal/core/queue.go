@@ -50,6 +50,12 @@ type ordered interface {
 // bound N on the queue size; 24 is a generous default for that bound.
 const DefaultMaxLevel = 24
 
+// maxLevelCap bounds Config.MaxLevel so the predecessor scratch arrays of
+// Insert and remove live on the stack instead of costing a heap slice per
+// operation. 2^32 expected elements at p = 0.5 is far past any bound N the
+// paper's maxLevel = log N would be sized for.
+const maxLevelCap = 32
+
 // DefaultP is the probability that a node's tower grows one more level.
 // The paper's skiplist (Pugh) uses a geometric distribution; p = 0.5 gives
 // the classic "half the nodes per level" structure described in Section 2.
@@ -90,6 +96,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = DefaultMaxLevel
+	}
+	if c.MaxLevel > maxLevelCap {
+		c.MaxLevel = maxLevelCap
 	}
 	if c.P <= 0 || c.P >= 1 {
 		c.P = DefaultP
@@ -289,10 +298,11 @@ func (q *Queue[K, V]) Obs() *obs.Set { return q.obs.set }
 func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot { return q.obs.set.Snapshot() }
 
 // randomLevel implements the paper's randomLevel (Figure 9): a geometric
-// draw capped at maxLevel.
+// draw capped at maxLevel. xrand.LevelAt draws from the seed alone, so an
+// Insert allocates no generator for it; a sequential caller with a given
+// Seed gets the same towers.
 func (q *Queue[K, V]) randomLevel() int {
-	r := xrand.NewRand(q.levelSeed.Add(0x9e3779b97f4a7c15))
-	return r.GeometricLevel(q.cfg.P, q.cfg.MaxLevel)
+	return xrand.LevelAt(q.levelSeed.Add(0x9e3779b97f4a7c15), q.cfg.P, q.cfg.MaxLevel)
 }
 
 // getLock implements the paper's getLock (Figure 9): starting from node1,
@@ -359,7 +369,7 @@ func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, 
 
 // search fills saved with, for each level, the last node whose key is < key
 // (Figure 10 lines 1–9 / Figure 11 lines 15–22). saved must have length
-// MaxLevel.
+// MaxLevel; callers slice it from a stack [maxLevelCap] array.
 func (q *Queue[K, V]) search(key K, saved []*node[K, V]) {
 	node1 := q.head
 	for i := q.cfg.MaxLevel - 1; i >= 0; i-- {
@@ -370,14 +380,6 @@ func (q *Queue[K, V]) search(key K, saved []*node[K, V]) {
 		}
 		saved[i] = node1
 	}
-}
-
-// savedBuf returns a scratch slice for predecessor searches. Predecessor
-// arrays are small and short-lived; a fresh allocation per operation is the
-// simple, escape-analysis-friendly choice, and benchmarks showed no win from
-// pooling them.
-func (q *Queue[K, V]) savedBuf() []*node[K, V] {
-	return make([]*node[K, V], q.cfg.MaxLevel)
 }
 
 // InsertResult reports what an Insert did.
@@ -405,7 +407,8 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 	if q.obs.set.Enabled() {
 		t0 = time.Now()
 	}
-	savedNodes := q.savedBuf()
+	var savedA [maxLevelCap]*node[K, V]
+	savedNodes := savedA[:q.cfg.MaxLevel]
 	for {
 		q.search(key, savedNodes)
 
@@ -532,7 +535,8 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 // reference to it fall back to a live node instead of skipping ahead past
 // unvisited keys.
 func (q *Queue[K, V]) remove(victim *node[K, V]) {
-	savedNodes := q.savedBuf()
+	var savedA [maxLevelCap]*node[K, V]
+	savedNodes := savedA[:q.cfg.MaxLevel]
 	q.search(victim.key, savedNodes)
 
 	victim.nodeMu.Lock() // Figure 11 line 27

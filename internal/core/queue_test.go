@@ -157,6 +157,47 @@ func TestMaxLevelRespected(t *testing.T) {
 	}
 }
 
+// TestMaxLevelClamped checks that an oversized MaxLevel is clamped to the
+// stack scratch capacity and that towers then respect the clamp.
+func TestMaxLevelClamped(t *testing.T) {
+	q := New[int64, int64](Config{MaxLevel: 100, P: 0.99, Seed: 5})
+	if q.MaxLevel() != maxLevelCap {
+		t.Fatalf("MaxLevel = %d, want %d", q.MaxLevel(), maxLevelCap)
+	}
+	for i := int64(0); i < 200; i++ {
+		q.Insert(i, i)
+	}
+	if _, err := q.checkLevels(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 200; i++ {
+		if k, _, ok := q.DeleteMin(); !ok || k != i {
+			t.Fatalf("DeleteMin = %d, %v; want %d", k, ok, i)
+		}
+	}
+}
+
+// TestSameSeedSameTowers checks the level generator's determinism: two
+// queues with one seed and one sequential history build identical towers.
+func TestSameSeedSameTowers(t *testing.T) {
+	a := New[int64, int64](Config{Seed: 9})
+	b := New[int64, int64](Config{Seed: 9})
+	for i := int64(0); i < 500; i++ {
+		a.Insert(i*7%501, i)
+		b.Insert(i*7%501, i)
+	}
+	na, nb := a.head.loadNext(0), b.head.loadNext(0)
+	for na != a.tail && nb != b.tail {
+		if na.key != nb.key || na.level() != nb.level() {
+			t.Fatalf("towers differ at key %d/%d: levels %d vs %d", na.key, nb.key, na.level(), nb.level())
+		}
+		na, nb = na.loadNext(0), nb.loadNext(0)
+	}
+	if na != a.tail || nb != b.tail {
+		t.Fatal("queues differ in length")
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.MaxLevel != DefaultMaxLevel || cfg.P != DefaultP {

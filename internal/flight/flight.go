@@ -75,8 +75,9 @@ const (
 	// request waited in the micro-batch before touching the structure.
 	KServerApply
 	// KServerFlush: the response batch containing a traced request's
-	// reply finished its socket write. Arg is TS − TS(KServerRead), the
-	// whole server-resident span.
+	// reply is encoded and about to be written to the socket. It is
+	// stamped before the write so the client can never receive the reply
+	// first. Arg is TS − TS(KServerRead), the whole server-resident span.
 	KServerFlush
 	// KServerBatch: one micro-batch boundary (no trace ID). Arg is the
 	// number of frames the batch applied.

@@ -21,9 +21,10 @@ import (
 //	Server    = server flush − server read       (server clock)
 //	Queue     = server apply start − server read (micro-batch wait)
 //	Structure = backend apply duration
-//	Flush     = server flush − server apply end  (encode + socket write)
-//	Network   = EndToEnd − Server                (both directions, plus
-//	            client-side pipeline queueing — everything not on the server)
+//	Flush     = server flush − server apply end  (response encode)
+//	Network   = EndToEnd − Server                (both directions and the
+//	            response socket write, plus client-side pipeline
+//	            queueing — everything not on the server)
 type Span struct {
 	Trace     uint64 `json:"trace"`
 	EndToEnd  int64  `json:"e2e_ns"`

@@ -27,6 +27,7 @@ import (
 	"skipqueue/internal/flight"
 	"skipqueue/internal/obs"
 	"skipqueue/internal/vclock"
+	"skipqueue/internal/xrand"
 )
 
 // ordered mirrors cmp.Ordered.
@@ -259,25 +260,11 @@ func (q *Queue[K, V]) newNode(key K, value V, level int) *node[K, V] {
 }
 
 func (q *Queue[K, V]) randomLevel() int {
-	// One splitmix64 draw per coin flip, computed inline: constructing a
-	// full xoshiro generator here was ~10% of all allocations in a churn
-	// workload. The atomic counter keeps draws decorrelated across
-	// goroutines; determinism per Seed is preserved only for sequential
-	// callers, which is all the experiments rely on.
-	s := q.levelSeed.Add(0x9e3779b97f4a7c15)
-	l := 1
-	for l < q.cfg.MaxLevel {
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		if float64(z>>11)/(1<<53) >= q.cfg.P {
-			break
-		}
-		l++
-		s += 0x9e3779b97f4a7c15
-	}
-	return l
+	// xrand.LevelAt, not a generator object: constructing a full xoshiro
+	// generator here was ~10% of all allocations in a churn workload.
+	// Determinism per Seed is preserved only for sequential callers, which
+	// is all the experiments rely on.
+	return xrand.LevelAt(q.levelSeed.Add(0x9e3779b97f4a7c15), q.cfg.P, q.cfg.MaxLevel)
 }
 
 // Len returns the number of elements (snapshot).

@@ -494,11 +494,14 @@ func (s *Server) handle(nc net.Conn, w *worker) {
 		if len(bufs) > 1 {
 			s.bobs.vectors.Inc()
 		}
-		if _, werr := bufs.WriteTo(nc); werr != nil {
-			return
-		}
+		// Stamp the flush before the write: once the bytes are on the
+		// socket the client may record its receive first, and a flush
+		// stamped after that would make Server exceed EndToEnd.
 		if fr.Enabled() {
 			s.finishBatch(fr, t.traced, batch)
+		}
+		if _, werr := bufs.WriteTo(nc); werr != nil {
+			return
 		}
 	}
 }
@@ -512,7 +515,8 @@ type tracedReq struct {
 
 // finishBatch records the flush for every traced frame of a batch (arg =
 // read-to-flush span, the whole server-side residence time), flags SLO
-// breaches, and marks the batch boundary.
+// breaches, and marks the batch boundary. It runs just before the response
+// write, so read ≤ apply ≤ flush ≤ client receive holds by construction.
 func (s *Server) finishBatch(fr *flight.Recorder, traced []tracedReq, batch int) {
 	now := fr.Now()
 	for _, tr := range traced {

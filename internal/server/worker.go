@@ -33,13 +33,13 @@ import (
 )
 
 // frameOp is one gathered request frame, decoded and detached from the
-// connection read buffer: insert payloads (and whole batch payloads) are
+// connection read buffer: request payloads, single-op or batch entry, are
 // owned copies, so the reader may keep reading while the worker applies.
 type frameOp struct {
 	kind    wire.Kind
 	arg     int64
-	data    []byte            // owned; insert value or bad-batch error text
-	entries []wire.BatchEntry // OpBatch only; entry Data aliases an owned copy
+	data    []byte            // owned; request payload or bad-batch error text
+	entries []wire.BatchEntry // OpBatch only; a window of task.entries, Data owned
 	trace   uint64            // non-zero on traced frames
 	bad     bool              // malformed batch payload: answered StatusErr, conn stays up
 }
@@ -60,6 +60,11 @@ type task struct {
 
 	statuses []wire.BatchEntry // scratch: per-op statuses of one batch frame
 	order    []int             // scratch: apply order of one batch frame
+
+	// entries holds the decoded entries of every batch frame in ops. It is
+	// reused across micro-batches: reset runs only once the previous
+	// response is written.
+	entries []wire.BatchEntry
 }
 
 func newTask() *task { return &task{done: make(chan struct{}, 1)} }
@@ -70,12 +75,15 @@ func (t *task) reset() {
 	t.traced = t.traced[:0]
 	t.nops = 0
 	t.err = nil
+	t.entries = t.entries[:0]
 }
 
 // addFrame decodes one gathered request frame into the task. It owns the
 // copy-out: f.Data aliases the connection read buffer, which the next
 // wire.Read overwrites, so anything the backend or the worker will see
-// after this call is copied here — once per insert, once per batch frame.
+// after this call is copied here — once per data-carrying single op, once
+// per batch frame that carries data. The copies are fresh memory, never
+// reused: the backend keeps insert values as they are.
 func (t *task) addFrame(f wire.Frame, maxOps int) {
 	op := frameOp{kind: f.Kind, arg: f.Arg, trace: f.Trace}
 	switch f.Kind {
@@ -85,25 +93,50 @@ func (t *task) addFrame(f wire.Frame, maxOps int) {
 		op.data = append([]byte(nil), f.Data...)
 		t.nops++
 	case wire.OpBatch:
-		owned := append([]byte(nil), f.Data...)
-		entries, err := wire.DecodeBatch(wire.Frame{Kind: f.Kind, Arg: f.Arg, Data: owned})
+		start := len(t.entries)
+		entries, err := wire.DecodeBatchInto(t.entries, f)
 		switch {
 		case err != nil:
 			op.bad = true
 			op.data = []byte(err.Error())
 			t.nops++
-		case len(entries) > maxOps:
+		case len(entries)-start > maxOps:
 			op.bad = true
 			op.data = []byte("server: batch exceeds the operation cap")
 			t.nops++
 		default:
-			op.entries = entries
-			t.nops += len(entries)
+			t.entries = entries
+			op.entries = entries[start:len(entries):len(entries)]
+			ownEntries(op.entries)
+			t.nops += len(op.entries)
 		}
 	default:
 		t.nops++
 	}
 	t.ops = append(t.ops, op)
+}
+
+// ownEntries moves one batch frame's entry payloads out of the read
+// buffer into one slab sized to fit them. Only payloads are copied, not
+// entry headers, and a batch of bare DeleteMins copies nothing.
+func ownEntries(entries []wire.BatchEntry) {
+	size := 0
+	for _, e := range entries {
+		size += len(e.Data)
+	}
+	var slab []byte
+	if size > 0 {
+		slab = make([]byte, 0, size)
+	}
+	for i := range entries {
+		e := &entries[i]
+		if len(e.Data) == 0 {
+			e.Data = nil // an empty window would still pin the read buffer
+			continue
+		}
+		slab = append(slab, e.Data...)
+		e.Data = slab[len(slab)-len(e.Data) : len(slab) : len(slab)]
+	}
 }
 
 // worker is one apply loop. Its tasks channel is closed by stopWorkers

@@ -54,6 +54,7 @@ func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	removeSnapshotTemps(dir)
 	segs, snaps, err := listDir(dir)
 	if err != nil {
 		return nil, err

@@ -183,6 +183,21 @@ func listDir(dir string) (segs []segment, snaps []string, err error) {
 	return segs, snaps, nil
 }
 
+// removeSnapshotTemps deletes the temp files of snapshots a crash
+// interrupted before their rename. Nothing reads a temp file, and recovery
+// runs before this process can start a snapshot of its own.
+func removeSnapshotTemps(dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if _, ok := parseLSN(e.Name(), "snap-", ".snap.tmp"); ok && !e.IsDir() {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
 // dropSnapshotsBefore removes all but the newest snapshot file. Older
 // snapshots are redundant the moment a newer one is durable, but the
 // deletion is deliberately last — a crash between rename and removal just

@@ -190,6 +190,7 @@ type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when durable advances or the log closes
 	buf     []byte     // pending encoded records
+	spare   []byte     // the last flushed batch, reused as the next buf
 	bufRecs int
 	lastLSN uint64 // LSN of the newest appended record
 	durable uint64 // LSN through which records are fsynced
@@ -459,10 +460,14 @@ func (l *Log) linger() {
 func (l *Log) flush() {
 	l.linger()
 	l.mu.Lock()
+	// Double buffering: appenders continue into the spare while the
+	// syncer writes batch, which becomes the spare once written. Only the
+	// syncer and Close (after the syncer exits) flush, so the swap never
+	// races another flush.
 	batch := l.buf
 	recs := l.bufRecs
 	covered := l.lastLSN
-	l.buf = nil
+	l.buf, l.spare = l.spare[:0], nil
 	l.bufRecs = 0
 	file := l.file
 	l.mu.Unlock()
@@ -493,6 +498,7 @@ func (l *Log) flush() {
 	}
 
 	l.mu.Lock()
+	l.spare = batch[:0]
 	l.durable = covered
 	l.segSize += int64(len(batch))
 	rotate := l.segSize >= l.cfg.SegmentBytes

@@ -193,6 +193,28 @@ func TestRecoverEmptyDir(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovesSnapshotTemps: a snapshot temp file left by a crash
+// before its rename is deleted by recovery; other files are kept.
+func TestRecoverRemovesSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, snapshotName(42)+".tmp")
+	foreign := filepath.Join(dir, "notes.tmp")
+	for _, p := range []string{tmp, foreign} {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Recover(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("snapshot temp file survived recovery: %v", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("recovery removed a foreign file: %v", err)
+	}
+}
+
 func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir}, nil)

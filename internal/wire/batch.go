@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrBadBatch means a batch frame's entry payload was malformed: torn
@@ -110,6 +111,11 @@ func NextBatchEntry(data []byte, request bool) (BatchEntry, []byte, error) {
 // OpBatch (request entries) or StatusBatch (response entries) frame —
 // and appends it to dst. trace/sendNano ride the ordinary trace trailer
 // when trace is non-zero. All entries must share a direction.
+//
+// The entries are encoded straight into dst and the length prefix is
+// patched afterwards, so a dst with enough capacity costs no allocation.
+// The bytes are identical to Append of a frame whose Data is the
+// concatenated entries. On error dst is returned with its original length.
 func AppendBatch(dst []byte, entries []BatchEntry, trace uint64, sendNano int64) ([]byte, error) {
 	if len(entries) == 0 || len(entries) > MaxBatchOps {
 		return dst, fmt.Errorf("%w: %d entries", ErrBadBatch, len(entries))
@@ -119,48 +125,78 @@ func AppendBatch(dst []byte, entries []BatchEntry, trace uint64, sendNano int64)
 	if !request {
 		kind = StatusBatch
 	}
-	payload := make([]byte, 0, len(entries)*entryHeaderSize)
+	start := len(dst)
+	kb := byte(kind)
+	if trace != 0 {
+		kb |= byte(FlagTraced)
+	}
+	dst = append(dst, 0, 0, 0, 0, kb) // length prefix patched below
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(entries)))
+	if trace != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, trace)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(sendNano))
+	}
+	payloadStart := len(dst)
 	var err error
 	for _, e := range entries {
 		if !batchable(e.Kind, request) {
-			return dst, fmt.Errorf("%w: mixed directions (%v in a %v frame)", ErrBadBatch, e.Kind, kind)
+			return dst[:start], fmt.Errorf("%w: mixed directions (%v in a %v frame)", ErrBadBatch, e.Kind, kind)
 		}
-		payload, err = AppendBatchEntry(payload, e)
+		dst, err = AppendBatchEntry(dst, e)
 		if err != nil {
-			return dst, err
+			return dst[:start], err
 		}
 	}
-	return Append(dst, Frame{Kind: kind, Arg: int64(len(entries)), Data: payload,
-		Trace: trace, SendNano: sendNano})
+	body := len(dst) - start - lenSize
+	if body > DefaultMaxFrame {
+		return dst[:start], fmt.Errorf("%w: %d byte payload", ErrFrameTooBig, len(dst)-payloadStart)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(body))
+	return dst, nil
 }
 
 // DecodeBatch validates and unpacks a decoded OpBatch/StatusBatch frame
-// into its entries. The entry count must match the frame's Arg exactly.
-// Entry Data aliases the frame's Data.
+// into a freshly allocated entry slice. The entry count must match the
+// frame's Arg exactly. Entry Data aliases the frame's Data.
 func DecodeBatch(f Frame) ([]BatchEntry, error) {
+	entries, err := DecodeBatchInto(nil, f)
+	if err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// DecodeBatchInto is DecodeBatch for callers that own a reusable entry
+// slice: it appends f's entries to dst and returns the extended slice. A
+// dst with room for the entries costs no allocation. On error dst is
+// returned with its original length. Entry Data aliases the frame's Data.
+func DecodeBatchInto(dst []BatchEntry, f Frame) ([]BatchEntry, error) {
 	request := f.Kind == OpBatch
 	if !request && f.Kind != StatusBatch {
-		return nil, fmt.Errorf("%w: frame kind %v is not a batch", ErrBadBatch, f.Kind)
+		return dst, fmt.Errorf("%w: frame kind %v is not a batch", ErrBadBatch, f.Kind)
 	}
 	n := f.Arg
 	if n <= 0 || n > MaxBatchOps {
-		return nil, fmt.Errorf("%w: entry count %d", ErrBadBatch, n)
+		return dst, fmt.Errorf("%w: entry count %d", ErrBadBatch, n)
 	}
-	entries := make([]BatchEntry, 0, n)
+	// Grow once, bounded by what the payload can hold: a hostile count
+	// cannot force a larger allocation than the frame itself justifies.
+	start := len(dst)
+	dst = slices.Grow(dst, int(min(n, int64(len(f.Data)/entryHeaderSize))))
 	data := f.Data
 	for len(data) > 0 {
 		e, rest, err := NextBatchEntry(data, request)
 		if err != nil {
-			return nil, err
+			return dst[:start], err
 		}
-		entries = append(entries, e)
-		if int64(len(entries)) > n {
-			return nil, fmt.Errorf("%w: more entries than the declared %d", ErrBadBatch, n)
+		dst = append(dst, e)
+		if int64(len(dst)-start) > n {
+			return dst[:start], fmt.Errorf("%w: more entries than the declared %d", ErrBadBatch, n)
 		}
 		data = rest
 	}
-	if int64(len(entries)) != n {
-		return nil, fmt.Errorf("%w: %d entries declared, %d decoded", ErrBadBatch, n, len(entries))
+	if got := len(dst) - start; int64(got) != n {
+		return dst[:start], fmt.Errorf("%w: %d entries declared, %d decoded", ErrBadBatch, n, got)
 	}
-	return entries, nil
+	return dst, nil
 }

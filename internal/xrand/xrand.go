@@ -27,8 +27,15 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 
 // Next returns the next value in the sequence.
 func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	s.state += splitMixGamma
+	return splitMix(s.state)
+}
+
+// splitMixGamma is SplitMix64's state increment.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// splitMix is SplitMix64's output function.
+func splitMix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -123,6 +130,25 @@ func (r *Rand) Bool(p float64) bool {
 func (r *Rand) GeometricLevel(p float64, max int) int {
 	l := 1
 	for l < max && r.Float64() < p {
+		l++
+	}
+	return l
+}
+
+// LevelAt is GeometricLevel drawn from seed alone, for hot paths that must
+// not construct a generator per draw: concurrent callers each take a seed
+// from a shared atomic counter and call LevelAt. The seed is hashed into
+// the start of its own SplitMix64 stream, so seeds one increment apart, as
+// consecutive counter values are, give independent heights rather than
+// overlapping coin sequences. Equal seeds give equal heights.
+func LevelAt(seed uint64, p float64, max int) int {
+	s := splitMix(seed)
+	l := 1
+	for l < max {
+		s += splitMixGamma
+		if float64(splitMix(s)>>11)/(1<<53) >= p {
+			break
+		}
 		l++
 	}
 	return l

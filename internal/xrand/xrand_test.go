@@ -133,3 +133,44 @@ func TestGeometricLevelMean(t *testing.T) {
 		t.Fatalf("GeometricLevel mean = %v, want about 2", mean)
 	}
 }
+
+// TestLevelAtDistribution: seeds drawn as a shared counter draws them
+// (one SplitMix64 increment apart) give capped geometric heights with the
+// expected mean, independently of their neighbours: a seed's coin flips
+// must not be its predecessor's shifted by one, which would make every
+// tall tower the top of a descending staircase.
+func TestLevelAtDistribution(t *testing.T) {
+	const n = 200000
+	seed := uint64(23)
+	sum, tall, stair := 0, 0, 0
+	prev := 0
+	for i := 0; i < n; i++ {
+		seed += splitMixGamma
+		l := LevelAt(seed, 0.5, 32)
+		if l < 1 || l > 32 {
+			t.Fatalf("LevelAt = %d, want 1..32", l)
+		}
+		if LevelAt(seed, 0.5, 32) != l {
+			t.Fatal("LevelAt is not a function of its seed")
+		}
+		sum += l
+		if prev >= 3 {
+			tall++
+			if l == prev-1 {
+				stair++
+			}
+		}
+		prev = l
+	}
+	if mean := float64(sum) / n; math.Abs(mean-2.0) > 0.02 {
+		t.Fatalf("LevelAt mean = %v, want about 2", mean)
+	}
+	// Independent heights follow a tower of height >= 3 with height h-1
+	// at most a quarter of the time; shifted sequences always do.
+	if frac := float64(stair) / float64(tall); frac > 0.3 {
+		t.Fatalf("%.2f of towers >= 3 are followed by one a level lower; heights are correlated", frac)
+	}
+	if l := LevelAt(1, 0.999, 5); l > 5 {
+		t.Fatalf("LevelAt ignores the cap: %d", l)
+	}
+}
