@@ -40,8 +40,9 @@ func BenchmarkSkipQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkPQPop isolates the composite-key decode on the Pop path; the
-// decode must stay allocation-free (see TestPQKeyDecodeAllocFree).
+// BenchmarkPQPop measures Pop alone on a queue of equal-priority runs; Pop
+// returns the node's own int64 key and must stay allocation-free (see
+// TestPQHotPathAllocs).
 func BenchmarkPQPop(b *testing.B) {
 	pq := NewPQ[int64](WithSeed(1))
 	for i := 0; i < b.N; i++ {

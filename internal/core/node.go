@@ -19,8 +19,15 @@ type link[K ordered, V any] struct {
 // guards against deletion racing with an in-progress insertion, the deleted
 // flag targeted by DeleteMin's SWAP, and the completion timestamp used by
 // the strict ordering mechanism.
+//
+// Nodes are ordered by (key, seq). The map API inserts with seq 0, so it
+// orders by key alone; a multiset gives each element its own seq, and equal
+// keys then leave in seq order. Comparing an inline pair keeps a search
+// step on the node's own cache lines, where a composite string key would
+// add a load of its bytes.
 type node[K ordered, V any] struct {
 	key K
+	seq uint64
 
 	// value is stored behind an atomic pointer so that the update-in-place
 	// path of Insert and the value read in DeleteMin are race-free. A nil
@@ -54,14 +61,64 @@ type node[K ordered, V any] struct {
 	links []link[K, V]
 }
 
+// Towers of up to 8 levels (all but 1 in 128 nodes at p = 0.5) are
+// allocated in one object with their node, rounded up to a size class of
+// 1, 2, 4 or 8 links. A search step then reads the node and its links from
+// neighbouring memory, and the collector tracks one object per node, not
+// two. Taller towers get their own slice.
+type (
+	tower1[K ordered, V any] struct {
+		n node[K, V]
+		l [1]link[K, V]
+	}
+	tower2[K ordered, V any] struct {
+		n node[K, V]
+		l [2]link[K, V]
+	}
+	tower4[K ordered, V any] struct {
+		n node[K, V]
+		l [4]link[K, V]
+	}
+	tower8[K ordered, V any] struct {
+		n node[K, V]
+		l [8]link[K, V]
+	}
+)
+
 // newNode allocates a node with the given tower height. The timestamp starts
 // at MaxTime so concurrent strict DeleteMins ignore the node until the
 // insertion completes.
-func newNode[K ordered, V any](key K, value *V, level int) *node[K, V] {
-	n := &node[K, V]{key: key, links: make([]link[K, V], level)}
+func newNode[K ordered, V any](key K, seq uint64, value *V, level int) *node[K, V] {
+	var n *node[K, V]
+	switch {
+	case level <= 1:
+		t := new(tower1[K, V])
+		t.n.links = t.l[:level]
+		n = &t.n
+	case level <= 2:
+		t := new(tower2[K, V])
+		t.n.links = t.l[:level]
+		n = &t.n
+	case level <= 4:
+		t := new(tower4[K, V])
+		t.n.links = t.l[:level]
+		n = &t.n
+	case level <= 8:
+		t := new(tower8[K, V])
+		t.n.links = t.l[:level]
+		n = &t.n
+	default:
+		n = &node[K, V]{links: make([]link[K, V], level)}
+	}
+	n.key, n.seq = key, seq
 	n.value.Store(value)
 	n.timeStamp.Store(vclock.MaxTime)
 	return n
+}
+
+// before reports whether n sorts strictly before (key, seq).
+func (n *node[K, V]) before(key K, seq uint64) bool {
+	return n.key < key || n.key == key && n.seq < seq
 }
 
 // level returns the tower height of the node.

@@ -7,7 +7,8 @@
 //   - Insert (Figure 10) searches for the predecessor at every level, locks
 //     the new node, and splices it in one level at a time from bottom to
 //     top, holding only one predecessor level-lock at a time. When the key
-//     is already present the value is updated in place.
+//     is already present the value is updated in place. InsertSeq orders
+//     by a (key, seq) pair instead, so a multiset keeps equal keys apart.
 //   - DeleteMin (Figure 11) reads the shared clock, traverses the bottom
 //     level from the head, skips nodes whose completion timestamp is newer
 //     than its own start time, and claims the first unmarked node with an
@@ -236,8 +237,8 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zeroK K
-	q.tail = newNode[K, V](zeroK, nil, cfg.MaxLevel)
-	q.head = newNode[K, V](zeroK, nil, cfg.MaxLevel)
+	q.tail = newNode[K, V](zeroK, 0, nil, cfg.MaxLevel)
+	q.head = newNode[K, V](zeroK, 0, nil, cfg.MaxLevel)
 	// Sentinels are born marked: a DeleteMin scan that bounces onto the
 	// head via a removed node's backward pointer (see remove) must skip it,
 	// never claim it.
@@ -305,20 +306,31 @@ func (q *Queue[K, V]) randomLevel() int {
 	return xrand.LevelAt(q.levelSeed.Add(0x9e3779b97f4a7c15), q.cfg.P, q.cfg.MaxLevel)
 }
 
+// ahead reports whether a traversal toward (key, seq) must step past n: n
+// is a node that sorts before (key, seq), or the head. The head sorts before
+// every key (the paper's -∞), but its key field holds the zero value, so it
+// is matched by identity; a removed node's backward pointer can lead a
+// traversal onto it. Stopping in front of it would leave the traversal on
+// the removed node, and an Insert would splice its node after that node,
+// out of reach of the live list.
+func (q *Queue[K, V]) ahead(n *node[K, V], key K, seq uint64) bool {
+	return n != q.tail && (n.before(key, seq) || n == q.head)
+}
+
 // getLock implements the paper's getLock (Figure 9): starting from node1,
-// advance along level to the last node with key < key, lock that node's
+// advance along level to the last node before (key, seq), lock that node's
 // level, then re-validate and slide the lock forward past any node that was
 // inserted (or any backward pointer left by a deletion) before the lock was
 // won. On return the caller holds node1.links[level].mu.
-func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, level int) *node[K, V] {
+func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, seq uint64, level int) *node[K, V] {
 	node2 := node1.loadNext(level)
-	for node2 != q.tail && node2.key < key {
+	for q.ahead(node2, key, seq) {
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
 	node1.links[level].mu.Lock()
 	node2 = node1.loadNext(level)
-	for node2 != q.tail && node2.key < key {
+	for q.ahead(node2, key, seq) {
 		q.stats.lockRetries.Add(1)
 		q.obs.lockRetries.Add(1)
 		q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
@@ -333,19 +345,19 @@ func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, level int) *node[K, V] {
 // getLockFor is the deletion variant of getLock: it locks the immediate
 // level-i predecessor of a specific victim node, identified by pointer, not
 // key. Identifying by pointer matters because the library tolerates a
-// transient second node with an equal key (see the update/retry protocol in
-// Insert); unlinking by key alone could splice out both.
+// transient second node with an equal (key, seq) (see the update/retry
+// protocol in InsertSeq); unlinking by key alone could splice out both.
 func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, V] {
 	node1 := start
 	node2 := node1.loadNext(level)
-	for node2 != victim && node2 != q.tail && !(victim.key < node2.key) {
+	for node2 != victim && node2 != q.tail && !victim.before(node2.key, node2.seq) {
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
 	node1.links[level].mu.Lock()
 	for node1.loadNext(level) != victim {
 		node2 = node1.loadNext(level)
-		if node2 == q.tail || victim.key < node2.key {
+		if node2 == q.tail || victim.before(node2.key, node2.seq) {
 			// The victim is not reachable ahead of node1 on this level.
 			// This can only be a transient view caused by a backward
 			// pointer; restart from the head.
@@ -367,14 +379,14 @@ func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, 
 	return node1
 }
 
-// search fills saved with, for each level, the last node whose key is < key
+// search fills saved with, for each level, the last node before (key, seq)
 // (Figure 10 lines 1–9 / Figure 11 lines 15–22). saved must have length
 // MaxLevel; callers slice it from a stack [maxLevelCap] array.
-func (q *Queue[K, V]) search(key K, saved []*node[K, V]) {
+func (q *Queue[K, V]) search(key K, seq uint64, saved []*node[K, V]) {
 	node1 := q.head
 	for i := q.cfg.MaxLevel - 1; i >= 0; i-- {
 		node2 := node1.loadNext(i)
-		for node2 != q.tail && node2.key < key {
+		for q.ahead(node2, key, seq) {
 			node1 = node2
 			node2 = node1.loadNext(i)
 		}
@@ -395,14 +407,23 @@ const (
 
 // Insert adds key with the given value, or replaces the value of an existing
 // equal key (Figure 10). It returns whether a node was inserted or updated.
+// It is InsertSeq with seq 0.
+func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
+	return q.InsertSeq(key, 0, value)
+}
+
+// InsertSeq adds (key, seq) with the given value, or replaces the value of a
+// node with the same key and seq. Nodes order by key, then by seq, so a
+// caller that draws a fresh seq per element gets a multiset whose equal keys
+// leave in seq order. DeleteMin and PeekMin report the key only.
 //
-// When the existing equal-key node has already been claimed by a concurrent
+// When the existing equal node has already been claimed by a concurrent
 // DeleteMin, the paper's code would overwrite a value that is about to be
 // (or already was) handed out, silently losing the insert. This
 // implementation instead arbitrates with an atomic value swap: if the
 // deleter consumed the value first, the Insert retries from scratch and
 // links a fresh node, so no inserted value is ever lost.
-func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
+func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 	var t0 time.Time
 	if q.obs.set.Enabled() {
 		t0 = time.Now()
@@ -410,13 +431,13 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 	var savedA [maxLevelCap]*node[K, V]
 	savedNodes := savedA[:q.cfg.MaxLevel]
 	for {
-		q.search(key, savedNodes)
+		q.search(key, seq, savedNodes)
 
-		// Lock level 0 of the predecessor; if the key is present, update in
-		// place under that lock (Figure 10 lines 10–16).
-		node1 := q.getLock(savedNodes[0], key, 0)
+		// Lock level 0 of the predecessor; if (key, seq) is present, update
+		// in place under that lock (Figure 10 lines 10–16).
+		node1 := q.getLock(savedNodes[0], key, seq, 0)
 		node2 := node1.loadNext(0)
-		if node2 != q.tail && node2.key == key {
+		if node2 != q.tail && node2.key == key && node2.seq == seq {
 			old := node2.value.Swap(&value)
 			node1.links[0].mu.Unlock()
 			if old != nil {
@@ -433,12 +454,12 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 		}
 
 		level := q.randomLevel()
-		nn := newNode[K, V](key, &value, level)
+		nn := newNode[K, V](key, seq, &value, level)
 		nn.nodeMu.Lock() // Figure 10 line 20: lock the whole node until fully linked.
 
 		for i := 0; i < level; i++ {
 			if i != 0 { // level 0 is already locked
-				node1 = q.getLock(savedNodes[i], key, i)
+				node1 = q.getLock(savedNodes[i], key, seq, i)
 			}
 			nn.storeNext(i, node1.loadNext(i))
 			node1.storeNext(i, nn)
@@ -537,7 +558,7 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 func (q *Queue[K, V]) remove(victim *node[K, V]) {
 	var savedA [maxLevelCap]*node[K, V]
 	savedNodes := savedA[:q.cfg.MaxLevel]
-	q.search(victim.key, savedNodes)
+	q.search(victim.key, victim.seq, savedNodes)
 
 	victim.nodeMu.Lock() // Figure 11 line 27
 	for i := victim.level() - 1; i >= 0; i-- {
@@ -586,33 +607,42 @@ func (q *Queue[K, V]) CollectKeys(dst []K) []K {
 	return dst
 }
 
-// checkLevels verifies (on a quiescent queue) that every level is sorted and
-// that every node on level i is present on all lower levels. It returns the
-// number of nodes on the bottom level. Tests use it as the structural
-// invariant of the skiplist.
+// checkLevels verifies (on a quiescent queue) that every level is strictly
+// sorted by (key, seq) and that every bottom-level node is linked on each
+// level of its tower and on no other. It returns the number of nodes on the
+// bottom level. Tests use it as the structural invariant of the skiplist.
 func (q *Queue[K, V]) checkLevels() (int, error) {
 	onBottom := map[*node[K, V]]bool{}
+	var perLevel [maxLevelCap]int // bottom-level nodes tall enough for each level
 	count := 0
 	for n := q.head.loadNext(0); n != q.tail; n = n.loadNext(0) {
 		onBottom[n] = true
 		count++
-		if nx := n.loadNext(0); nx != q.tail && !(n.key < nx.key) {
+		for i := 0; i < n.level(); i++ {
+			perLevel[i]++
+		}
+		if nx := n.loadNext(0); nx != q.tail && !n.before(nx.key, nx.seq) {
 			return 0, errOutOfOrder
 		}
 	}
 	for i := 1; i < q.cfg.MaxLevel; i++ {
 		var prev *node[K, V]
+		linked := 0
 		for n := q.head.loadNext(i); n != q.tail; n = n.loadNext(i) {
+			linked++
 			if !onBottom[n] {
 				return 0, errLevelOrphan
 			}
 			if n.level() <= i {
 				return 0, errLevelHeight
 			}
-			if prev != nil && !(prev.key < n.key) {
+			if prev != nil && !prev.before(n.key, n.seq) {
 				return 0, errOutOfOrder
 			}
 			prev = n
+		}
+		if linked != perLevel[i] {
+			return 0, errLevelMissing
 		}
 	}
 	return count, nil

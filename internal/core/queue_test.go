@@ -423,6 +423,42 @@ func TestConcurrentDuplicateKeys(t *testing.T) {
 	}
 }
 
+// TestConcurrentNegativeKeys churns keys below the zero value, which the
+// unused key of the head sentinel holds. A removed node's backward pointer
+// can lead a traversal onto the head; the traversal must step past it rather
+// than stop at the removed node and splice a new node after it, where the
+// skiplist no longer reaches.
+func TestConcurrentNegativeKeys(t *testing.T) {
+	q := newIntQueue(t, Config{Seed: 37})
+	const workers = 8
+	const perWorker = 4000
+	var wg sync.WaitGroup
+	var inserted, deleted [workers]int
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				if rng.Intn(2) == 0 {
+					q.InsertSeq(-1-int64(rng.Intn(4)), uint64(w*perWorker+i), 0)
+					inserted[w]++
+				} else if _, _, ok := q.DeleteMin(); ok {
+					deleted[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	left := 0
+	for w := range inserted {
+		left += inserted[w] - deleted[w]
+	}
+	if n, err := q.checkLevels(); err != nil || n != left {
+		t.Fatalf("checkLevels = %d, %v; want %d nodes", n, err, left)
+	}
+}
+
 // TestStrictOrderingUnderConcurrency checks the observable part of
 // Definition 1 on quiescent cuts: after all inserts complete, every
 // DeleteMin must return the global minimum of what remains.

@@ -212,9 +212,9 @@ func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
 func (p *PQ[V]) Stamp() int64 { return p.clock.Add(1) }
 
 // key/priority/seq encoding: the same 16-byte composite-key trick the root
-// PQ uses — priority (sign-flipped) then sequence number, ordered
-// lexicographically — duplicated here because the root package wraps this
-// one and cannot be imported.
+// LockFreePQ and GlobalHeapPQ use — priority (sign-flipped) then sequence
+// number, ordered lexicographically — duplicated here because the root
+// package wraps this one and cannot be imported.
 func key(priority int64, seq uint64) string {
 	var b [16]byte
 	u := uint64(priority) ^ (1 << 63)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPQKeyDecodeAllocFree: pqPriority must not copy the key into a fresh
-// []byte — Pop calls it once per element.
+// []byte — LockFreePQ and GlobalHeapPQ call it once per Pop.
 func TestPQKeyDecodeAllocFree(t *testing.T) {
 	key := pqKey(-42, 7)
 	if n := testing.AllocsPerRun(100, func() {

@@ -1,6 +1,8 @@
 package skipqueue
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -169,6 +171,116 @@ func TestPQConcurrent(t *testing.T) {
 	if int(st.Inserts) != pq.Len()+int(st.DeleteMins) {
 		t.Fatalf("conservation: %d pushed, %d popped, %d left",
 			st.Inserts, st.DeleteMins, pq.Len())
+	}
+}
+
+// TestPQHotPathAllocs pins PQ's allocation count: a Push allocates the node,
+// with its tower in the same object, and the boxed value; a Pop allocates
+// nothing, since the priority is the node's own key.
+func TestPQHotPathAllocs(t *testing.T) {
+	const runs = 1000
+	pq := NewPQ[int64](WithSeed(1))
+	var i int64
+	if n := testing.AllocsPerRun(runs, func() {
+		i++
+		pq.Push(i%16, i)
+	}); n != 2 {
+		t.Fatalf("Push allocates %v per op, want 2", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, _, ok := pq.Pop(); !ok {
+			t.Fatal("Pop on a filled queue returned empty")
+		}
+	}); n != 0 {
+		t.Fatalf("Pop allocates %v per op, want 0", n)
+	}
+}
+
+// TestPQConcurrentEqualPriorities has 8 goroutines push onto 4 priorities,
+// the extremes of int64 among them, while 4 of them also pop. Every pushed
+// element must come out exactly once. Each popper, and the quiescent drain
+// that follows, must see one producer's equal-priority elements in push
+// order: a later push sorts after an earlier one and its insertion starts
+// only after the earlier one completed.
+func TestPQConcurrentEqualPriorities(t *testing.T) {
+	priorities := []int64{math.MinInt64, -1, 0, math.MaxInt64}
+	const workers = 8
+	const per = 3000
+	type elem struct{ producer, index int }
+	pq := NewPQ[elem](WithSeed(9))
+	checkOrder := func(last map[[2]int64]int, p int64, e elem) error {
+		k := [2]int64{p, int64(e.producer)}
+		if prev, seen := last[k]; seen && e.index <= prev {
+			return fmt.Errorf("producer %d priority %d: element %d after %d", e.producer, p, e.index, prev)
+		}
+		last[k] = e.index
+		return nil
+	}
+	popped := make([][]elem, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			last := map[[2]int64]int{}
+			for i := 0; i < per; i++ {
+				pq.Push(priorities[(i+w)%len(priorities)], elem{w, i})
+				if w%2 == 1 && i%3 != 0 {
+					if p, e, ok := pq.Pop(); ok {
+						if err := checkOrder(last, p, e); err != nil {
+							t.Error(err)
+							return
+						}
+						popped[w] = append(popped[w], e)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	seen := make([][]bool, workers)
+	for w := range seen {
+		seen[w] = make([]bool, per)
+	}
+	count := func(e elem) {
+		if seen[e.producer][e.index] {
+			t.Fatalf("element %+v delivered twice", e)
+		}
+		seen[e.producer][e.index] = true
+	}
+	for _, es := range popped {
+		for _, e := range es {
+			count(e)
+		}
+	}
+	last := map[[2]int64]int{}
+	prevP := int64(math.MinInt64)
+	for {
+		p, e, ok := pq.Pop()
+		if !ok {
+			break
+		}
+		if p < prevP {
+			t.Fatalf("drain: priority %d after %d", p, prevP)
+		}
+		prevP = p
+		if want := priorities[(e.index+e.producer)%len(priorities)]; p != want {
+			t.Fatalf("element %+v popped with priority %d, pushed with %d", e, p, want)
+		}
+		if err := checkOrder(last, p, e); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		count(e)
+	}
+	for w := range seen {
+		for i, ok := range seen[w] {
+			if !ok {
+				t.Fatalf("element {%d %d} lost", w, i)
+			}
+		}
 	}
 }
 
